@@ -202,9 +202,9 @@ let run_cmd =
       value & opt string "none"
       & info [ "chaos" ]
           ~doc:
-            "Fault plan to inject, e.g. $(b,crash:1\\@100000) or \
-             $(b,stall:2\\@80000:forever,release:2\\@500ms): comma-separated clauses \
-             EVENT:VICTIMS\\@TRIGGER, where the trigger is virtual cycles or (native only) \
+            "Fault plan to inject, e.g. $(b,crash:1@100000) or \
+             $(b,stall:2@80000:forever,release:2@500ms): comma-separated clauses \
+             EVENT:VICTIMS@TRIGGER, where the trigger is virtual cycles or (native only) \
              $(b,Nms) wall-clock; events are crash, stall (bounded, $(b,:forever)), release, \
              drop-signals:N, delay-signals:CYCLES.  Recovery metrics are reported after the \
              run.")

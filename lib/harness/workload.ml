@@ -321,8 +321,9 @@ let run_sim (spec : spec) =
     ~chaos:(Option.map Chaos.report chaos)
 
 let run_native (spec : spec) ~pool =
-  (* Size the heap for the live set plus the retired-but-unreclaimed backlog
-     (per-thread buffers, epoch batches); the native heap cannot grow. *)
+  (* Bound the heap by the live set plus the retired-but-unreclaimed backlog
+     (per-thread buffers, epoch batches).  The native heap only makes the
+     words a run reaches, so a generous bound costs nothing up front. *)
   let node_w = 8 + spec.padding + spec.max_height in
   let mem_capacity =
     max (1 lsl 21) (8 * (spec.key_range + ((spec.threads + 1) * 2048)) * node_w)

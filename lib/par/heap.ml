@@ -1,18 +1,26 @@
 (* Domain-safe unmanaged heap.
 
-   The native twin of {!Ts_umem.Mem} + {!Ts_umem.Alloc}: a fixed-capacity
-   array of atomic words (every access is sequentially consistent, which
-   is what gives the native backend the same SC memory model the
-   simulator steps out op by op), a per-word allocation-state shadow for
-   UAF/wild/double-free detection, and a TCMalloc-style size-class
-   allocator with per-thread caches.
+   The native twin of {!Ts_umem.Mem} + {!Ts_umem.Alloc}: a bounded,
+   on-demand grown array of atomic words (every access is sequentially
+   consistent, which is what gives the native backend the same SC memory
+   model the simulator steps out op by op), a per-word allocation-state
+   shadow for UAF/wild/double-free detection, and a TCMalloc-style
+   size-class allocator with per-thread caches.
 
    Differences from the sim heap, all forced by real parallelism:
 
-   - No growth.  [Ts_umem.Mem] swaps in a bigger array when it fills;
-     another domain could read the stale array mid-swap, so the native
-     heap allocates its full capacity up front and faults [Out_of_memory]
-     beyond it.
+   - Growth without a swap hazard.  [Ts_umem.Mem] replaces its word
+     array when it fills; here another domain could still be using the
+     old array.  So a word is a boxed [Atomic.t] cell, and growth (under
+     the heap lock, when [reserve_locked] hands out addresses past the
+     materialised length) doubles the array by copying the cell
+     pointers: every generation of the array shares the same cells, so
+     a write through a stale array is never lost.  An access past its
+     snapshot of the array re-reads it under the lock before faulting.
+     [capacity] is a limit, not a preallocation: [Out_of_memory] fires
+     beyond it exactly as before, and the shadow stays at full capacity
+     (one byte per word) so fault classification does not depend on how
+     far the array has grown.
    - Shadow-state checks are exact in steady state but best-effort at
      the instant of a concurrent transition (the shadow byte is read
      unlocked next to the word access).  A correct reclamation scheme
@@ -60,11 +68,11 @@ let fault_kinds : Mem.fault_kind array =
      Canary_overwrite |]
 
 type t = {
-  words : int Atomic.t array;
+  mutable words : int Atomic.t array; (* cells [0, length); grown under [lock] *)
   shadow : Bytes.t;
   capacity : int;
   strict : bool;
-  lock : Mutex.t; (* guards hwm, central lists, large_free, cache rows creation *)
+  lock : Mutex.t; (* guards words growth, hwm, central lists, large_free, cache rows creation *)
   mutable hwm : int; (* first never-reserved address *)
   central : Vec.t array; (* per size class, user base addresses *)
   caches : Vec.t array option array; (* per tid; row touched only by its owner *)
@@ -86,10 +94,13 @@ type t = {
   mutable on_fault : (Mem.fault_kind -> int -> unit) option;
 }
 
+(* Cells materialised at creation; the array doubles from here. *)
+let initial_cells = 4096
+
 let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 32)
     ?(magazine = true) ~max_threads () =
   {
-    words = Array.init capacity (fun _ -> Atomic.make 0);
+    words = Array.init (min capacity initial_cells) (fun _ -> Atomic.make 0);
     shadow = Bytes.make capacity st_unalloc;
     capacity;
     strict;
@@ -140,72 +151,147 @@ let[@inline] in_range t addr = addr > 0 && addr < t.capacity
 
 let[@inline] state t addr = Bytes.unsafe_get t.shadow addr
 
-(* Word access below an [in_range]/shadow check uses [Array.unsafe_get]:
-   the range check already established the bound, so the second
-   (compiler-inserted) bounds check is pure overhead on the hottest path
-   in the native backend. *)
-let[@inline] word t addr = Array.unsafe_get t.words addr
+(* [addr] has a cell in [w], a snapshot of [t.words].  The array never
+   outgrows [capacity], so this also bounds the unchecked shadow read.
+   Word access below this check skips the compiler's bounds check (see
+   [cell]): this check already established the bound, and the second
+   one is pure overhead on the hottest path in the native backend. *)
+let[@inline] covered w addr = addr > 0 && addr < Array.length w
 
-(* Data plane: checked, atomic. *)
+(* The cell at [addr] of a covering snapshot.  [Atomic.t] is abstract, so
+   a plain [Array.unsafe_get] on [w] tests at run time whether [w] is a
+   flat float array; reading [w] as the address array it is (an
+   [Atomic.t] is a one-field block, like a [ref]) drops that test, which
+   pays for the length check the growable array adds. *)
+let[@inline] cell (w : int Atomic.t array) addr : int Atomic.t =
+  Obj.magic (Array.unsafe_get (Obj.magic w : int ref array) addr)
 
-let read t addr =
-  if not (in_range t addr) then begin
+(* [addr] lies past the caller's snapshot of [t.words].  Another domain
+   may have grown the array since, so the address may still be legal:
+   re-read the array under the lock that growth holds, which orders this
+   read after the growth.  Only a stale snapshot or a wild access gets
+   here; a wild address outside [capacity] skips the lock. *)
+let[@inline never] resnap t addr =
+  if in_range t addr then begin
+    Mutex.lock t.lock;
+    let w = t.words in
+    Mutex.unlock t.lock;
+    w
+  end
+  else t.words
+
+(* A snapshot of [t.words] that covers [addr] if any array does yet. *)
+let[@inline] covering t addr =
+  let w = t.words in
+  if covered w addr then w else resnap t addr
+
+(* Data plane: checked, atomic.  Each access is split into an inlined
+   shadow-checked body on a covering snapshot [w] and an out-of-line
+   [_past] path that re-snapshots first; the fast path then ends in a
+   tail call, so it spills nothing around the rare lock-taking branch. *)
+
+let[@inline] read_in t w addr =
+  match state t addr with
+  | c when c = st_live -> Atomic.get (cell w addr)
+  | c when c = st_freed ->
+      record_fault t Uaf_read addr;
+      poison
+  | _ ->
+      record_fault t Wild_read addr;
+      poison
+
+let[@inline never] read_past t addr =
+  let w = resnap t addr in
+  if covered w addr then read_in t w addr
+  else begin
     record_fault t Wild_read addr;
     poison
   end
-  else
-    match state t addr with
-    | c when c = st_live -> Atomic.get (word t addr)
-    | c when c = st_freed ->
-        record_fault t Uaf_read addr;
-        poison
-    | _ ->
-        record_fault t Wild_read addr;
-        poison
+
+let read t addr =
+  let w = t.words in
+  if covered w addr then read_in t w addr else read_past t addr
+
+let[@inline] write_in t w addr v =
+  match state t addr with
+  | c when c = st_live -> Atomic.set (cell w addr) v
+  | c when c = st_freed -> record_fault t Uaf_write addr
+  | _ -> record_fault t Wild_write addr
+
+let[@inline never] write_past t addr v =
+  let w = resnap t addr in
+  if covered w addr then write_in t w addr v else record_fault t Wild_write addr
 
 let write t addr v =
-  if not (in_range t addr) then record_fault t Wild_write addr
-  else
-    match state t addr with
-    | c when c = st_live -> Atomic.set (word t addr) v
-    | c when c = st_freed -> record_fault t Uaf_write addr
-    | _ -> record_fault t Wild_write addr
+  let w = t.words in
+  if covered w addr then write_in t w addr v else write_past t addr v
 
-let cas t addr expected desired =
-  if not (in_range t addr) then begin
+let[@inline] cas_in t w addr expected desired =
+  match state t addr with
+  | c when c = st_live -> Atomic.compare_and_set (cell w addr) expected desired
+  | c when c = st_freed ->
+      record_fault t Uaf_write addr;
+      false
+  | _ ->
+      record_fault t Wild_write addr;
+      false
+
+let[@inline never] cas_past t addr expected desired =
+  let w = resnap t addr in
+  if covered w addr then cas_in t w addr expected desired
+  else begin
     record_fault t Wild_write addr;
     false
   end
-  else
-    match state t addr with
-    | c when c = st_live -> Atomic.compare_and_set (word t addr) expected desired
-    | c when c = st_freed ->
-        record_fault t Uaf_write addr;
-        false
-    | _ ->
-        record_fault t Wild_write addr;
-        false
 
-let faa t addr delta =
-  if not (in_range t addr) then begin
+let cas t addr expected desired =
+  let w = t.words in
+  if covered w addr then cas_in t w addr expected desired else cas_past t addr expected desired
+
+let[@inline] faa_in t w addr delta =
+  match state t addr with
+  | c when c = st_live -> Atomic.fetch_and_add (cell w addr) delta
+  | c when c = st_freed ->
+      record_fault t Uaf_write addr;
+      poison
+  | _ ->
+      record_fault t Wild_write addr;
+      poison
+
+let[@inline never] faa_past t addr delta =
+  let w = resnap t addr in
+  if covered w addr then faa_in t w addr delta
+  else begin
     record_fault t Wild_write addr;
     poison
   end
-  else
-    match state t addr with
-    | c when c = st_live -> Atomic.fetch_and_add (word t addr) delta
-    | c when c = st_freed ->
-        record_fault t Uaf_write addr;
-        poison
-    | _ ->
-        record_fault t Wild_write addr;
-        poison
 
-(* Control plane: unchecked (allocator metadata, register mirroring). *)
+let faa t addr delta =
+  let w = t.words in
+  if covered w addr then faa_in t w addr delta else faa_past t addr delta
 
-let raw_read t addr = if in_range t addr then Atomic.get (word t addr) else poison
+(* Control plane: unchecked (allocator metadata, register mirroring).  An
+   in-range address with no cell yet was never reserved: it reads 0, as
+   its cell will when it is made, and a write to it is dropped (reserving
+   it zeroes the cell anyway). *)
 
-let raw_write t addr v = if in_range t addr then Atomic.set (word t addr) v
+let[@inline never] raw_read_past t addr =
+  let w = resnap t addr in
+  if covered w addr then Atomic.get (cell w addr)
+  else if in_range t addr then 0
+  else poison
+
+let raw_read t addr =
+  let w = t.words in
+  if covered w addr then Atomic.get (cell w addr) else raw_read_past t addr
+
+let[@inline never] raw_write_past t addr v =
+  let w = resnap t addr in
+  if covered w addr then Atomic.set (cell w addr) v
+
+let raw_write t addr v =
+  let w = t.words in
+  if covered w addr then Atomic.set (cell w addr) v else raw_write_past t addr v
 
 let is_live t addr = in_range t addr && state t addr = st_live
 
@@ -213,15 +299,17 @@ let is_freed t addr = in_range t addr && state t addr = st_freed
 
 let mark_live t base n =
   Bytes.fill t.shadow base n st_live;
+  let w = covering t (base + n - 1) in
   for i = base to base + n - 1 do
-    Atomic.set t.words.(i) 0
+    Atomic.set w.(i) 0
   done
 
 let mark_freed t base n =
   (* Poison first, then flip the shadow: a racing reader sees either the
      old live words or (poison, freed) — never (poison, live). *)
+  let w = covering t (base + n - 1) in
   for i = base to base + n - 1 do
-    Atomic.set t.words.(i) poison
+    Atomic.set w.(i) poison
   done;
   Bytes.fill t.shadow base n st_freed
 
@@ -237,6 +325,19 @@ let reserve_locked t n =
   else begin
     let base = t.hwm in
     t.hwm <- t.hwm + n;
+    let old = t.words in
+    let len = Array.length old in
+    if t.hwm > len then begin
+      (* Grow by doubling.  The new array shares the old cells, so a
+         domain still indexing [old] reads and writes the same words. *)
+      let len' = ref len in
+      while !len' < t.hwm do
+        len' := 2 * !len'
+      done;
+      let len' = min t.capacity !len' in
+      t.words <-
+        Array.init len' (fun i -> if i < len then Array.unsafe_get old i else Atomic.make 0)
+    end;
     base
   end
 
@@ -359,7 +460,8 @@ let free t ~tid addr =
       (* The live->freed header transition is a CAS: of two racing frees
          of the same block exactly one takes this branch, the other
          faults Double_free below on the freed magic. *)
-      if Atomic.compare_and_set t.words.(addr - 1) hdr (freed_magic lor block_w) then begin
+      let hdr_cell = (covering t (addr - 1)).(addr - 1) in
+      if Atomic.compare_and_set hdr_cell hdr (freed_magic lor block_w) then begin
         mark_freed t addr block_w;
         Atomic.incr t.frees;
         ignore (Atomic.fetch_and_add t.live (-1));
@@ -413,6 +515,7 @@ let free t ~tid addr =
 
 let size t = t.hwm
 let capacity t = t.capacity
+let materialised t = Array.length t.words
 let strict t = t.strict
 let mallocs t = Atomic.get t.mallocs
 let frees t = Atomic.get t.frees

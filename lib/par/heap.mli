@@ -19,7 +19,11 @@ val create :
   t
 (** [strict] (default [true]) raises {!Ts_umem.Mem.Fault} on the first
     fault; non-strict records the fault, returns poison on bad reads and
-    drops bad writes. [capacity] is in words and fixed at creation.
+    drops bad writes. [capacity] (default [2^21]) is in words: a limit,
+    not a preallocation.  Word cells are made as allocation reaches
+    them (the backing array doubles, up to [capacity]), so creation
+    costs O(1) OCaml words plus the one-byte-per-word shadow; allocating
+    past [capacity] faults [Out_of_memory].
 
     [magazine] (default [true]) enables the per-thread magazines:
     fixed-capacity per-size-class caches ([cache_cap], default 64)
@@ -63,6 +67,12 @@ val free : t -> tid:int -> int -> unit
 
 val size : t -> int
 val capacity : t -> int
+
+val materialised : t -> int
+(** Words with a cell so far: at least {!size}, at most {!capacity}.
+    Accesses between this and [capacity] fault as wild, as they would on
+    any never-reserved word. *)
+
 val strict : t -> bool
 val mallocs : t -> int
 val frees : t -> int

@@ -60,7 +60,7 @@ type config = {
   seed : int;  (** per-thread rng streams derive from it *)
   stack_words : int;
   reg_words : int;
-  mem_capacity : int;  (** words; fixed at creation (the native heap cannot grow) *)
+  mem_capacity : int;  (** words; the native heap grows on demand up to this limit *)
   strict_mem : bool;
   magazine : bool;  (** per-thread allocator magazines (see {!Heap.create}) *)
   max_threads : int;

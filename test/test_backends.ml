@@ -602,6 +602,137 @@ let test_native_ladder_heartbeat_takeover () =
   check "all retired nodes reclaimed after flush" 0 !outstanding
 
 (* ------------------------------------------------------------------ *)
+(* Native heap growth                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Heap = Ts_par.Heap
+module Mem = Ts_umem.Mem
+
+(* Two domains allocate across several doublings of the cell array while
+   a third keeps reading, writing, CASing and FAAing blocks allocated
+   before and during the growth (the latter published by the allocators,
+   so the accessor often holds a stale snapshot of the array).  Nothing
+   may fault and no write may be lost. *)
+let test_heap_growth_concurrent () =
+  let heap = Heap.create ~capacity:(1 lsl 20) ~max_threads:4 () in
+  let cells0 = Heap.materialised heap in
+  let early = Array.init 64 (fun _ -> Heap.malloc heap ~tid:0 4) in
+  Array.iter (fun a -> Heap.write heap a 0) early;
+  let latest = Array.init 2 (fun _ -> Atomic.make 0) in
+  let stop = Atomic.make false in
+  let allocator i () =
+    let tid = i + 1 in
+    let mine = ref [] in
+    while Heap.size heap < 1 lsl 18 do
+      let a = Heap.malloc heap ~tid 16 in
+      Heap.write heap a a;
+      mine := a :: !mine;
+      Atomic.set latest.(i) a
+    done;
+    !mine
+  in
+  let accessor () =
+    let cas_ok = Array.make (Array.length early) 0 and faas = Hashtbl.create 1024 in
+    let bad = ref 0 in
+    while not (Atomic.get stop) do
+      Array.iteri
+        (fun j a ->
+          let v = Heap.read heap a in
+          if Heap.cas heap a v (v + 1) then cas_ok.(j) <- cas_ok.(j) + 1;
+          Heap.write heap (a + 1) v)
+        early;
+      Array.iter
+        (fun l ->
+          let a = Atomic.get l in
+          if a > 0 then begin
+            if Heap.read heap a <> a then incr bad;
+            ignore (Heap.faa heap (a + 1) 1);
+            Hashtbl.replace faas a (1 + Option.value ~default:0 (Hashtbl.find_opt faas a))
+          end)
+        latest;
+      Domain.cpu_relax ()
+    done;
+    (cas_ok, faas, !bad)
+  in
+  let acc = Domain.spawn accessor in
+  let allocs = List.init 2 (fun i -> Domain.spawn (allocator i)) in
+  let blocks = List.concat_map Domain.join allocs in
+  Atomic.set stop true;
+  let cas_ok, faas, bad = Domain.join acc in
+  check "no faults" 0 (Heap.total_faults heap);
+  check "published blocks read back" 0 bad;
+  Alcotest.(check bool)
+    "grew across several doublings" true
+    (Heap.materialised heap >= 8 * cells0);
+  Array.iteri (fun j a -> check "no lost CAS" cas_ok.(j) (Heap.read heap a)) early;
+  List.iter
+    (fun a ->
+      check "allocator write kept" a (Heap.read heap a);
+      check "no lost FAA"
+        (Option.value ~default:0 (Hashtbl.find_opt faas a))
+        (Heap.read heap (a + 1)))
+    blocks
+
+(* An address the array has not reached yet was never reserved: it
+   faults as wild, like any unallocated word, and growth is unaffected. *)
+let test_heap_wild_past_materialised () =
+  let capacity = 1 lsl 20 in
+  let heap = Heap.create ~strict:false ~capacity ~max_threads:1 () in
+  let cells = Heap.materialised heap in
+  Alcotest.(check bool) "not materialised up front" true (cells < capacity);
+  List.iter
+    (fun addr ->
+      check "read is poison" Mem.poison (Heap.read heap addr);
+      Heap.write heap addr 1;
+      Alcotest.(check bool) "cas fails" false (Heap.cas heap addr 0 1);
+      ignore (Heap.faa heap addr 1);
+      check "raw read sees an untouched word" 0 (Heap.raw_read heap addr))
+    [ cells; cells + 1; capacity / 2; capacity - 1 ];
+  check "wild reads" 4 (Heap.fault_count heap Wild_read);
+  check "wild writes" 12 (Heap.fault_count heap Wild_write);
+  check "no other fault" 16 (Heap.total_faults heap);
+  check "faults do not grow the array" cells (Heap.materialised heap);
+  let strict = Heap.create ~capacity ~max_threads:1 () in
+  Alcotest.check_raises "strict read raises" (Mem.Fault (Wild_read, capacity - 1)) (fun () ->
+      ignore (Heap.read strict (capacity - 1)))
+
+(* [capacity] stays an exact limit: the last word is allocatable, the
+   next one is not. *)
+let test_heap_out_of_memory_at_capacity () =
+  let capacity = 1 lsl 16 in
+  let heap = Heap.create ~capacity ~max_threads:1 () in
+  let base = Heap.alloc_region heap (capacity - 2) in
+  check "region starts after null" 1 base;
+  let last = Heap.alloc_region heap 1 in
+  check "last word allocatable" (capacity - 1) last;
+  Heap.write heap last 7;
+  check "last word usable" 7 (Heap.read heap last);
+  check "grown to capacity" capacity (Heap.materialised heap);
+  Alcotest.check_raises "one word more is out of memory" (Mem.Fault (Out_of_memory, capacity))
+    (fun () -> ignore (Heap.alloc_region heap 1));
+  let lax = Heap.create ~strict:false ~capacity ~max_threads:1 () in
+  check "malloc beyond capacity returns null" 0 (Heap.malloc lax ~tid:0 (2 * capacity));
+  check "and records one fault" 1 (Heap.fault_count lax Out_of_memory)
+
+(* Creating a heap costs O(1) OCaml words besides the shadow (one byte
+   per word of capacity): no cell is made for a word nobody allocated. *)
+let test_heap_create_is_lazy () =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let capacity = 1 lsl 24 in
+  let before = words () in
+  let heap = Heap.create ~capacity ~max_threads:2 () in
+  let allocated = words () -. before in
+  let shadow = float_of_int (capacity / (Sys.word_size / 8)) in
+  ignore (Sys.opaque_identity heap);
+  Alcotest.(check bool)
+    (Fmt.str "%.0f words beyond the shadow" (allocated -. shadow))
+    true
+    (allocated -. shadow < 65536.)
+
+(* ------------------------------------------------------------------ *)
 
 let per_backend name f =
   List.map
@@ -636,6 +767,16 @@ let () =
             test_native_stress;
           Alcotest.test_case "multi-domain pool completes work" `Quick
             test_native_parallel_speedup_shape;
+        ] );
+      ( "native-heap",
+        [
+          Alcotest.test_case "concurrent growth loses no access" `Quick
+            test_heap_growth_concurrent;
+          Alcotest.test_case "past the materialised cells is wild" `Quick
+            test_heap_wild_past_materialised;
+          Alcotest.test_case "out of memory exactly at capacity" `Quick
+            test_heap_out_of_memory_at_capacity;
+          Alcotest.test_case "creation allocates O(1) words" `Quick test_heap_create_is_lazy;
         ] );
       ( "native-ladder",
         [
