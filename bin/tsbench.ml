@@ -62,17 +62,11 @@ let make_backend backend pool =
 
 (* Scheme names resolve through the registry (ids and aliases alike);
    the per-scheme tuning flags ride along as registry params and are
-   ignored by schemes they do not apply to.  [--pipeline] upgrades a
-   scheme to its pipelined registry variant when it has one. *)
-let scheme_conv ~buffer ~help_free ~pipeline ~shards ~delay name =
+   ignored by schemes they do not apply to. *)
+let scheme_conv ~buffer ~help_free ~delay name =
   match Registry.canonical name with
   | Error e -> Error (`Msg e)
-  | Ok id ->
-      let id =
-        if pipeline then Option.value (Registry.get id).Registry.pipelined ~default:id
-        else id
-      in
-      Ok (Registry.spec ~buffer ~help_free ?shards ~delay id)
+  | Ok id -> Ok (Registry.spec ~buffer ~help_free ~delay id)
 
 (* -------------------------------- run ----------------------------------- *)
 
@@ -151,23 +145,6 @@ let run_cmd =
   let help_free =
     Arg.(value & flag & info [ "help-free" ] ~doc:"Enable the help-free ThreadScan variant.")
   in
-  let pipeline =
-    Arg.(
-      value & flag
-      & info [ "pipeline" ]
-          ~doc:
-            "ThreadScan only: enable the parallel reclamation pipeline (sealed-run merge \
-             collect, Bloom-prefiltered scan, chunked parallel free; see docs/PERF.md).")
-  in
-  let shards =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shards" ]
-          ~doc:
-            "ThreadScan reclamation shard count: 0 = auto (one shard per 8 threads), 1 = \
-             single master, >1 = that many shards with helper work-stealing.  Unset keeps \
-             the registry default (1 for legacy threadscan, auto for the pipeline).")
-  in
   let no_magazine =
     Arg.(
       value & flag
@@ -218,10 +195,10 @@ let run_cmd =
              going after this long is killed and reported as wedged with a post-mortem \
              (0 = off).  Required for chaos plans that starve plain epoch forever.")
   in
-  let action ds scheme_name threads cores horizon init range update buffer help_free pipeline
-      shards no_magazine trials delay padding seed analyze chaos watchdog backend pool =
+  let action ds scheme_name threads cores horizon init range update buffer help_free
+      no_magazine trials delay padding seed analyze chaos watchdog backend pool =
     match
-      ( scheme_conv ~buffer ~help_free ~pipeline ~shards ~delay scheme_name,
+      ( scheme_conv ~buffer ~help_free ~delay scheme_name,
         Ts_util.Fault_plan.parse chaos )
     with
     | Error (`Msg m), _ -> `Error (false, m)
@@ -302,8 +279,8 @@ let run_cmd =
     Term.(
       ret
         (const action $ ds $ scheme_name $ threads $ cores $ horizon $ init $ range $ update
-       $ buffer $ help_free $ pipeline $ shards $ no_magazine $ trials $ delay $ padding $ seed
-       $ analyze $ chaos $ watchdog $ backend_arg $ pool_arg))
+       $ buffer $ help_free $ no_magazine $ trials $ delay $ padding $ seed $ analyze $ chaos
+       $ watchdog $ backend_arg $ pool_arg))
 
 (* ------------------------------- sweep ---------------------------------- *)
 

@@ -38,12 +38,3 @@ let[@inline never] copy x =
   end
 
 let atomic v = copy (Atomic.make v) (* tslint: allow facade -- the padding shim constructs the cell it isolates *)
-
-(* Stride helpers for unmanaged-heap layouts: one hot word per thread,
-   each on its own line. *)
-
-let stride = line_words
-
-let words_for n = n * stride
-
-let index base tid = base + (tid * stride)

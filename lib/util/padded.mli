@@ -18,14 +18,3 @@ val copy : 'a -> 'a
 
 val atomic : int -> int Atomic.t (* tslint: allow facade -- the isolated cell's type is necessarily Atomic.t *)
 (** [atomic v] is [copy (Atomic.make v)]: a line-isolated atomic. *)
-
-val stride : int
-(** Heap-layout stride: slots per thread when spreading one hot word per
-    thread across distinct cache lines. *)
-
-val words_for : int -> int
-(** [words_for n] is the region size for [n] line-strided slots. *)
-
-val index : int -> int -> int
-(** [index base tid] is the address of [tid]'s line-strided slot in a
-    region of [words_for n] words at [base]. *)

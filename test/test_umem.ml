@@ -282,29 +282,36 @@ let prop_magazine_conservation =
   QCheck.Test.make ~name:"magazines: refill/flush loses and duplicates nothing" ~count:60
     QCheck.(pair int (list (int_range 1 16)))
     (fun (seed, sizes) ->
+      let cache_cap = 4 in
       let sizes = if sizes = [] then [ 3 ] else sizes in
-      let words = List.fold_left ( + ) 0 sizes in
+      (* Every round also frees [cache_cap + 1] blocks of one size class on
+         one tid: that overflows its magazine whatever the random tids do,
+         so the flush path runs for every input. *)
+      let burst = List.init (cache_cap + 1) (fun _ -> List.hd sizes) in
+      let all = sizes @ burst in
+      let words = List.fold_left ( + ) 0 all in
       (* ~6 working sets incl. headers: ample steady state, fatal leak *)
-      let mem = Mem.create ~capacity_limit:(1024 + (6 * (words + (3 * List.length sizes)))) () in
-      let alloc = Alloc.create ~cache_cap:4 ~batch:2 ~max_threads:2 mem in
+      let mem = Mem.create ~capacity_limit:(1024 + (6 * (words + (3 * List.length all)))) () in
+      let alloc = Alloc.create ~cache_cap ~batch:2 ~max_threads:2 mem in
       let rng = Splitmix.create seed in
       let live = Hashtbl.create 16 in
+      let malloc n =
+        let a = Alloc.malloc alloc ~tid:(Splitmix.below rng 2) n in
+        if Hashtbl.mem live a then failwith "block handed out twice";
+        Hashtbl.replace live a ();
+        a
+      in
+      let free ~tid a =
+        Hashtbl.remove live a;
+        Alloc.free alloc ~tid a
+      in
       for _round = 1 to 40 do
-        let blocks =
-          List.map
-            (fun n ->
-              let a = Alloc.malloc alloc ~tid:(Splitmix.below rng 2) n in
-              if Hashtbl.mem live a then failwith "block handed out twice";
-              Hashtbl.replace live a ();
-              a)
-            sizes
-        in
+        let blocks = List.map malloc sizes in
+        let burst_blocks = List.map malloc burst in
         (* cross-thread frees push the flush path on both magazine rows *)
-        List.iter
-          (fun a ->
-            Hashtbl.remove live a;
-            Alloc.free alloc ~tid:(Splitmix.below rng 2) a)
-          blocks
+        List.iter (fun a -> free ~tid:(Splitmix.below rng 2) a) blocks;
+        let tid = Splitmix.below rng 2 in
+        List.iter (free ~tid) burst_blocks
       done;
       Alloc.live_blocks alloc = 0
       && Alloc.total_mallocs alloc = Alloc.total_frees alloc
