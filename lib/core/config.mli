@@ -13,10 +13,13 @@ type t = {
           previous phase's garbage in their next TS-Scan, unloading the
           reclaimer. *)
   ack_budget : int;
-      (** Virtual cycles the reclaimer waits for scanner acknowledgments
-          before declaring the phase blind and marking non-ackers suspect
-          (see [docs/FAULTS.md]).  [<= 0] waits forever (the paper's
-          original, wedge-prone behaviour). *)
+      (** Cycles of {!Ts_rt.wall_cycles} the reclaimer waits for scanner
+          acknowledgments before declaring the phase blind and marking
+          non-ackers suspect (see [docs/FAULTS.md]): virtual cycles on the
+          simulator, wall time at the runtime's [stall_ns_per_cycle]
+          natively (100 ns by default, so the default budget is 0.5 s).
+          [<= 0] waits forever (the paper's original, wedge-prone
+          behaviour). *)
   suspect_phases : int;
       (** Consecutive silent phases after which a suspect is reaped:
           force-deregistered, its delete buffer adopted, its last-known
@@ -37,7 +40,7 @@ type t = {
 val default : t
 (** [max_threads = 64], [buffer_size = 64], [help_free = false], and
     robustness defaults generous enough that healthy runs never trigger
-    them: [ack_budget = 5_000_000] cycles, [suspect_phases = 3],
+    them: [ack_budget = 5_000_000] wall cycles, [suspect_phases = 3],
     [takeover_steps = 1_000_000], [overflow_after = 64]. *)
 
 val validate : t -> unit

@@ -46,7 +46,7 @@ type t = {
   mutable scan_hits : int;
   mutable helped : int;
   mutable full_waits : int;
-  phase_latencies : Ts_util.Vec.t; (* cycles spent inside each do_phase *)
+  phase_latencies : Ts_util.Vec.t; (* wall cycles spent inside each do_phase *)
   mutable free_burden : int; (* nodes freed inside collect, by the reclaimer *)
   mutable ack_timeouts : int; (* phases whose ack wait exhausted the budget *)
   mutable carried_blind : int; (* entries carried because a phase was blind *)
@@ -208,11 +208,13 @@ let drain_work_leftovers t =
    still-registered threads that made no ack within the budget (the phase
    must go blind); [departed] are threads observed dead while registered —
    they crashed without deregistering and can never ack, so waiting on them
-   is pointless and they are reaped immediately. *)
+   is pointless and they are reaped immediately.  The budget runs on
+   [wall_cycles]: the targets progress in wall time, while the waiter's own
+   clock would mostly count its own backoff. *)
 let wait_for_acks t phase signaled =
   Runtime.set_wait_note (Some (Fmt.str "ack wait: phase %d" phase));
   let budget = t.cfg.ack_budget in
-  let t0 = Runtime.now () in
+  let t0 = Runtime.wall_cycles () in
   let b = Backoff.create () in
   let pending = ref signaled in
   let departed = ref [] in
@@ -223,14 +225,17 @@ let wait_for_acks t phase signaled =
         (fun u ->
           if Runtime.read (t.acks_base + u) = phase || not (registered t u) then false
           else if Runtime.is_done u then begin
-            departed := u :: !departed;
+            (* A thread that exits normally deregisters first, but may do
+               so after the registration test above: only a crashed one
+               is reaped. *)
+            if Runtime.is_crashed u then departed := u :: !departed;
             false
           end
           else true)
         !pending;
     if !pending <> [] then begin
       heartbeat t;
-      if budget > 0 && Runtime.now () - t0 > budget then begin
+      if budget > 0 && Runtime.wall_cycles () - t0 > budget then begin
         timed_out := !pending;
         pending := []
       end
@@ -261,7 +266,7 @@ let reap t phase u reason =
 
 (* One reclamation phase.  Caller holds the phase lock. *)
 let do_phase t =
-  let phase_start = Runtime.now () in
+  let phase_start = Runtime.wall_cycles () in
   let c = counters t in
   let self = Runtime.self () in
   heartbeat t;
@@ -434,7 +439,7 @@ let do_phase t =
             t.free_burden <- t.free_burden + 1)
   end;
   heartbeat t;
-  Ts_util.Vec.push t.phase_latencies (Runtime.now () - phase_start)
+  Ts_util.Vec.push t.phase_latencies (Runtime.wall_cycles () - phase_start)
 
 let run_phase_locked t =
   match do_phase t with

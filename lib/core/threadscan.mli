@@ -79,14 +79,15 @@ val outstanding : t -> int
 (** Nodes retired but not yet freed. *)
 
 val phase_latencies : t -> int list
-(** Cycles the reclaiming thread spent inside each collect phase, in phase
-    order — the §7 responsiveness concern: the reclaimer is unavailable to
+(** Cycles of {!Ts_rt.wall_cycles} (virtual on the simulator, cycle-scaled
+    wall time natively) the reclaiming thread spent inside each collect
+    phase, in phase order — the §7 responsiveness concern: the reclaimer is unavailable to
     its application for this long.  The [help_free] variant shortens these
     by moving the free() calls into the scanners' handlers. *)
 
 val total_phase_cycles : t -> int
 (** Sum of {!phase_latencies}: total cycles spent inside collect phases.
-    The harness scales this by the wall-clock-per-cycle ratio to report
+    The harness converts it at the native cycle length to report
     [reclaim_phase_ns] per benchmark cell. *)
 
 val reclaimer_frees : t -> int

@@ -674,10 +674,11 @@ let json_params_suffix (r : Workload.result) =
         (String.concat ", "
            (List.map (fun (k, v) -> Fmt.str "\"%s\": %d" (json_escape k) v) kv))
 
-(* Derived per-cell fields.  [reclaim_phase_ns] converts the scheme's
-   virtual phase-cycles total into wall-clock nanoseconds with this run's
-   own ns-per-cycle ratio (0 on the sim backend, which has no wall
-   clock); the magazine counters ride the extras channel from the
+(* Derived per-cell fields.  [reclaim_phase_ns] is the scheme's
+   phase-cycles total in nanoseconds: natively those are
+   [Ts_rt.wall_cycles], wall time at the runtime's cycle length, so this
+   is a measurement (0 on the sim backend, which has no wall clock).
+   The magazine counters ride the extras channel from the
    allocator.  Each group is emitted only when the run carried its
    counter, so cells of schemes without a phase clock keep their exact
    prior shape. *)
@@ -687,12 +688,9 @@ let json_derived_suffix (r : Workload.result) =
     match get "phase-cycles" with
     | None -> ""
     | Some cycles ->
+        let ns_per_cycle = Ts_par.Runtime.default_config.Ts_par.Runtime.stall_ns_per_cycle in
         let ns =
-          if r.Workload.wall_ns <= 0 || r.Workload.elapsed <= 0 then 0
-          else
-            int_of_float
-              (float_of_int cycles *. float_of_int r.Workload.wall_ns
-              /. float_of_int r.Workload.elapsed)
+          if r.Workload.wall_ns <= 0 then 0 else int_of_float (float_of_int cycles *. ns_per_cycle)
         in
         Fmt.str ", \"reclaim_phase_ns\": %d" ns
   in

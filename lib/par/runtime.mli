@@ -29,7 +29,9 @@ type config = {
   propagate_failures : bool;
   stall_ns_per_cycle : float;
       (** wall-time value of one virtual cycle: scales [Ts_rt.stall]
-          durations, [Ts_rt.sleep], and [Ts_rt.delay_signals] windows.
+          durations, [Ts_rt.sleep], and [Ts_rt.delay_signals] windows,
+          and is the cycle length of [Ts_rt.wall_cycles] (so budgets
+          such as ThreadScan's [ack_budget] run in wall time).
           Default 100ns. *)
   watchdog_ns : int;
       (** liveness watchdog: if the run is still going after this much

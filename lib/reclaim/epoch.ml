@@ -24,10 +24,11 @@ let counter_addr st tid = st.counters_base + tid
 
 (* Wait until every thread that was mid-operation at snapshot time has
    passed an operation boundary.  With [patience] set, give up after that
-   many cycles and return [false]: the batch is NOT safe to free — epoch
-   has no per-pointer information, so a thread that never quiesces (crashed
-   or stalled mid-operation) wedges reclamation; all we can bound is the
-   wait, not the limbo growth. *)
+   many wall cycles ([Runtime.wall_cycles]: the waiter's own clock would
+   count its backoff, not the peer's time) and return [false]: the batch
+   is NOT safe to free — epoch has no per-pointer information, so a thread
+   that never quiesces (crashed or stalled mid-operation) wedges
+   reclamation; all we can bound is the wait, not the limbo growth. *)
 let wait_for_quiescence st self =
   let ok = ref true in
   let snap = Array.make st.max_threads 0 in
@@ -38,15 +39,15 @@ let wait_for_quiescence st self =
     if t <> self && !ok && snap.(t) land 1 = 1 then begin
       Runtime.set_wait_note (Some (Fmt.str "epoch quiescence wait on t%d" t));
       let b = Backoff.create () in
-      let t0 = Runtime.now () in
+      let t0 = Runtime.wall_cycles () in
       while !ok && Runtime.read (counter_addr st t) = snap.(t) do
         st.waits <- st.waits + 1;
         match st.patience with
-        | Some p when Runtime.now () - t0 > p -> ok := false
+        | Some p when Runtime.wall_cycles () - t0 > p -> ok := false
         | _ -> Backoff.once b
       done;
       Runtime.set_wait_note None;
-      st.stall_cycles <- st.stall_cycles + (Runtime.now () - t0)
+      st.stall_cycles <- st.stall_cycles + (Runtime.wall_cycles () - t0)
     end
   done;
   if not !ok then st.gaveups <- st.gaveups + 1;

@@ -31,8 +31,10 @@ val create :
     free-vs-read race report both catch.  The scheme is named
     ["epoch-nofence"].
 
-    [patience] bounds every quiescence wait to that many virtual cycles:
-    on timeout the cleanup (or flush) is abandoned and nothing is freed —
+    [patience] bounds every quiescence wait to that many
+    {!Ts_rt.wall_cycles} (virtual cycles on the simulator, wall time at
+    [stall_ns_per_cycle] natively; the ["stall-cycles"] extra uses the
+    same clock): on timeout the cleanup (or flush) is abandoned and nothing is freed —
     the thread keeps running instead of spinning forever behind a crashed
     or stalled peer, but its limbo list grows without bound (tracked by
     the ["quiescence-gaveups"] and ["unreclaimed-peak"] extras).  This is

@@ -4,7 +4,7 @@
    calls the wrapper functions below and never names a backend.
 
    The surface is exactly the op set the simulator exposed before the
-   split, plus two backend-neutral extension points:
+   split, plus three backend-neutral extension points:
 
    - [poll]: an explicit safepoint.  Native threads deliver pending
      phase signals at op boundaries; a long computation that performs
@@ -13,7 +13,11 @@
      threads (orphan lists, overflow queues).  Words in the unmanaged
      heap are already atomic; this is only for the few managed-heap
      structures the schemes share.  No-op in the sim (one fiber runs at
-     a time); a global mutex natively. *)
+     a time); a global mutex natively.
+   - [wall_cycles]: elapsed time in cycles, for budgets that must mean
+     the same on both backends.  The sim's virtual clock is its wall
+     clock, so it is [now]; natively it is wall time scaled by the
+     runtime's cycle length, never the caller's own virtual clock. *)
 
 type tid = int
 
@@ -31,6 +35,7 @@ type ops = {
   yield : unit -> unit;
   advance : int -> unit;
   now : unit -> int;
+  wall_cycles : unit -> int;
   self : unit -> tid;
   rand_below : int -> int;
   steps_now : unit -> int;
@@ -149,6 +154,7 @@ let alloc_region n = (ops ()).alloc_region n
 let yield () = (ops ()).yield ()
 let advance n = (ops ()).advance n
 let now () = (ops ()).now ()
+let wall_cycles () = (ops ()).wall_cycles ()
 let self () = (ops ()).self ()
 let rand_below n = (ops ()).rand_below n
 let steps_now () = (ops ()).steps_now ()

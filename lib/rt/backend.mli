@@ -22,6 +22,7 @@ type ops = {
   yield : unit -> unit;
   advance : int -> unit;
   now : unit -> int;
+  wall_cycles : unit -> int;
   self : unit -> tid;
   rand_below : int -> int;
   steps_now : unit -> int;
@@ -122,6 +123,16 @@ val alloc_region : int -> int
 val yield : unit -> unit
 val advance : int -> unit
 val now : unit -> int
+
+val wall_cycles : unit -> int
+(** Elapsed time in cycles, for budgets and latencies measured across
+    threads (ack waits, quiescence patience, phase latency).  The
+    simulator returns {!now}: its virtual clock is the wall clock every
+    thread shares.  The native backend returns wall nanoseconds since the
+    run began divided by its [stall_ns_per_cycle], the scale its stall
+    and signal-delay faults use, so it does not advance with the
+    caller's own spinning. *)
+
 val self : unit -> tid
 val rand_below : int -> int
 val steps_now : unit -> int

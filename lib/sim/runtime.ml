@@ -1814,6 +1814,8 @@ let rt_ops : Ts_rt.ops =
     yield;
     advance;
     now;
+    (* one virtual clock is every thread's wall clock *)
+    wall_cycles = now;
     self;
     rand_below;
     steps_now;

@@ -601,6 +601,209 @@ let test_native_ladder_heartbeat_takeover () =
   Alcotest.(check bool) "phase lock was taken over" true (!takeovers >= 1);
   check "all retired nodes reclaimed after flush" 0 !outstanding
 
+(* No fault plan, so the ladder must stay silent: every signalled thread
+   acks within the budget, so no phase times out, no thread goes suspect
+   and none is reaped.  Hash churn as the wall-bounded benchmark runs it:
+   2 workers on 2 domains for 0.3 s of wall time, while main stays
+   registered and joins them, as [Workload.body] does.  Two defects each
+   time phases out here: a joiner that only polls for signals now and
+   then, and an ack budget counted in the reclaimer's own backoff
+   cycles. *)
+let test_native_fault_free_ladder_silent () =
+  let module R = Ts_par.Runtime in
+  let workers = 2 and keys = 4096 in
+  let cfg =
+    {
+      R.default_config with
+      pool = workers;
+      max_threads = workers + 2;
+      watchdog_ns = 30_000_000_000;
+    }
+  in
+  let ts = ref None and ops = ref 0 in
+  let res =
+    R.run ~config:cfg (fun () ->
+        let config = { Threadscan.Config.default with max_threads = workers + 2 } in
+        let t = Threadscan.create ~config () in
+        ts := Some t;
+        let smr = Threadscan.smr t in
+        smr.Smr.thread_init ();
+        let ds = Ts_ds.Hash_table.create ~smr ~buckets:(keys / 2) () in
+        for k = 0 to (keys / 2) - 1 do
+          ignore (ds.Ts_ds.Set_intf.insert (2 * k) k)
+        done;
+        let counts = Array.make workers 0 in
+        let deadline = Unix.gettimeofday () +. 0.3 in
+        let ws =
+          List.init workers (fun i ->
+              Rt.spawn (fun () ->
+                  smr.Smr.thread_init ();
+                  ignore (Frame.push 64);
+                  while Unix.gettimeofday () < deadline do
+                    let key = Rt.rand_below keys in
+                    (match Rt.rand_below 4 with
+                    | 0 -> ignore (ds.Ts_ds.Set_intf.insert key key)
+                    | 1 -> ignore (ds.Ts_ds.Set_intf.remove key)
+                    | _ -> ignore (ds.Ts_ds.Set_intf.contains key));
+                    counts.(i) <- counts.(i) + 1
+                  done;
+                  smr.Smr.thread_exit ()))
+        in
+        List.iter Rt.join ws;
+        smr.Smr.thread_exit ();
+        smr.Smr.flush ();
+        ops := Array.fold_left ( + ) 0 counts)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  check "no UAF / double-free / wild access" 0 (Ts_par.Heap.total_faults res.R.heap);
+  let t = Option.get !ts in
+  Alcotest.(check bool)
+    (Fmt.str "phases ran (%d phases, %d ops)" (Threadscan.phases t) !ops)
+    true
+    (Threadscan.phases t >= 5);
+  check "ack timeouts" 0 (Threadscan.ack_timeouts t);
+  check "suspects" 0 (Threadscan.suspected_total t);
+  check "reaps" 0 (Threadscan.reaps t)
+
+(* ------------------------------------------------------------------ *)
+(* Native-only: a registered joiner parks but stays wakeable           *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [main] as tid 0 under a watchdog, so a joiner that is never woken
+   shows up as a wedged run instead of a hung test. *)
+let run_joiner ?(watchdog_ms = 5_000) main =
+  let module R = Ts_par.Runtime in
+  let cfg =
+    {
+      R.default_config with
+      pool = 2;
+      max_threads = 4;
+      propagate_failures = true;
+      watchdog_ns = watchdog_ms * 1_000_000;
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let res = R.run ~config:cfg main in
+  (res, Unix.gettimeofday () -. t0)
+
+(* Main parks in [join] while a worker signals it again and again, each
+   time waiting for the handler's ack before the next send: every handler
+   must run while main is still parked (the worker exits only after the
+   last ack), so a lost wakeup leaves the worker waiting until the
+   watchdog fires. *)
+let test_parked_joiner_runs_handler () =
+  let module R = Ts_par.Runtime in
+  let rounds = 200 in
+  let acked = ref 0 in
+  let res, _ =
+    run_joiner (fun () ->
+        let count = Rt.alloc_region 1 in
+        Rt.set_signal_handler (fun () -> ignore (Rt.faa count 1));
+        let w =
+          Rt.spawn (fun () ->
+              for i = 1 to rounds do
+                Rt.signal 0;
+                while Rt.read count < i do
+                  Rt.yield ()
+                done
+              done)
+        in
+        Rt.join w;
+        acked := Rt.read count)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  check "every signal handled while parked" rounds !acked
+
+let test_parked_joiner_released_by_exit () =
+  let module R = Ts_par.Runtime in
+  let joined = ref false in
+  let res, _ =
+    run_joiner (fun () ->
+        let w = Rt.spawn (fun () -> Rt.sleep 100_000) in
+        Rt.join w;
+        joined := Rt.is_done w)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  Alcotest.(check bool) "join returned after the target's exit" true !joined
+
+(* The worker crashes main while main is parked joining it, then stays
+   alive until main is done: only the crash can have released the join. *)
+let test_parked_joiner_released_by_crash () =
+  let module R = Ts_par.Runtime in
+  let res, _ =
+    run_joiner (fun () ->
+        let w =
+          Rt.spawn (fun () ->
+              Rt.sleep 100_000;
+              Rt.crash 0;
+              while not (Rt.is_done 0) do
+                Rt.sleep 1_000
+              done)
+        in
+        Rt.join w)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  Alcotest.(check (list int)) "main was killed in its join" [ 0 ] res.R.crashed
+
+(* The target spins outside the runtime, so it never sees the watchdog's
+   kill; main, parked joining it, must be woken by the kill itself.  Main
+   releases the target on the way out so the run can drain. *)
+let test_parked_joiner_released_by_watchdog () =
+  let module R = Ts_par.Runtime in
+  let release = Atomic.make false in
+  let watchdog_ms = 200 in
+  let res, wall =
+    run_joiner ~watchdog_ms (fun () ->
+        let w =
+          Rt.spawn (fun () ->
+              while not (Atomic.get release) do
+                Domain.cpu_relax ()
+              done)
+        in
+        Fun.protect ~finally:(fun () -> Atomic.set release true) (fun () -> Rt.join w))
+  in
+  Alcotest.(check bool) "watchdog fired" true res.R.wedged;
+  Alcotest.(check (list int)) "main was killed in its join" [ 0 ] res.R.crashed;
+  Alcotest.(check bool)
+    (Fmt.str "released within 2 s of the watchdog (%.3f s)" wall)
+    true
+    (wall < (float_of_int watchdog_ms /. 1e3) +. 2.0)
+
+(* A sender that keeps re-signalling until its target makes progress
+   (DEBRA+'s neutralize loop does) must not trap the target in signal
+   delivery: one handler run covers everything pending at a poll, then
+   the target completes its op.  One run per signal never ends while the
+   sender outpaces the handler, and the run wedges. *)
+let test_signal_storm_cannot_starve_target () =
+  let module R = Ts_par.Runtime in
+  let handled = Atomic.make 0 in
+  let res, _ =
+    run_joiner ~watchdog_ms:3_000 (fun () ->
+        let ready = Rt.alloc_region 1 and ack = Rt.alloc_region 1 in
+        let target =
+          Rt.spawn (fun () ->
+              Rt.set_signal_handler (fun () -> Atomic.incr handled);
+              Rt.write ready 1;
+              while Atomic.get handled = 0 do
+                Rt.yield ()
+              done;
+              Rt.write ack 1)
+        in
+        let sender =
+          Rt.spawn (fun () ->
+              while Rt.read ready = 0 do
+                Rt.yield ()
+              done;
+              while Rt.read ack = 0 do
+                Rt.signal target
+              done)
+        in
+        Rt.join sender;
+        Rt.join target)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  Alcotest.(check bool) "target handled signals" true (Atomic.get handled > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Native heap growth                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -786,5 +989,20 @@ let () =
             test_native_ladder_reap_readmit;
           Alcotest.test_case "heartbeat takeover of a stalled reclaimer" `Quick
             test_native_ladder_heartbeat_takeover;
+          Alcotest.test_case "fault-free hash churn never times out, suspects or reaps" `Quick
+            test_native_fault_free_ladder_silent;
+        ] );
+      ( "native-join",
+        [
+          Alcotest.test_case "parked joiner runs every signal handler" `Quick
+            test_parked_joiner_runs_handler;
+          Alcotest.test_case "parked joiner released by the target's exit" `Quick
+            test_parked_joiner_released_by_exit;
+          Alcotest.test_case "parked joiner released by a crash of itself" `Quick
+            test_parked_joiner_released_by_crash;
+          Alcotest.test_case "parked joiner released by the watchdog's kill" `Quick
+            test_parked_joiner_released_by_watchdog;
+          Alcotest.test_case "a resending sender cannot trap its target in delivery" `Quick
+            test_signal_storm_cannot_starve_target;
         ] );
     ]
